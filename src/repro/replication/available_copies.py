@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from repro.errors import UnavailableError
 from repro.histories.behavioral import Begin, BehavioralHistory, Commit, Op
 from repro.histories.events import Event, Invocation, Response
-from repro.sim.network import Network, Timeout
+from repro.sim.network import Network
 from repro.spec.datatype import SerialDataType, State
 
 
@@ -71,36 +71,32 @@ class AvailableCopiesObject:
         copy responds — the method's whole selling point is that any
         single live copy suffices, which is also why partitions break it.
         """
-        state = None
         order = [
             (client_site + offset) % self.network.n_sites
             for offset in range(self.network.n_sites)
         ]
-        for site in order:
-            try:
-                state = self.network.request(
-                    client_site, site, lambda s=site: self.copies[s].state
-                )
-                break
-            except Timeout:
-                continue
-        if state is None:
+        read = self.network.gather(
+            client_site,
+            order,
+            lambda site: self.copies[site].state,
+            stop=bool,
+            waves="serial",
+        )
+        if not read.replies:
             raise UnavailableError(invocation.op)
+        state = read.replies[0].value
 
         outcomes = sorted(self.datatype.apply(state, invocation), key=str)
         response, new_state = outcomes[0]
 
         # Write to all *available* copies; unreachable ones are deemed
         # failed and silently configured out — the fatal step.
-        for site in order:
-            try:
-                self.network.request(
-                    client_site,
-                    site,
-                    lambda s=site, ns=new_state: self._install(s, ns),
-                )
-            except Timeout:
-                continue
+        self.network.gather(
+            client_site,
+            order,
+            lambda site: self._install(site, new_state),
+            waves="serial",
+        )
         self.executed.append((Event(invocation, response), client_site))
         return response
 

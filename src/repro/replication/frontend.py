@@ -12,6 +12,12 @@ site — so object availability is dominated by repository quorums, which
 is exactly what this implementation models: every read and write is an
 RPC through the simulated network that can time out on crash, loss, or
 partition.
+
+Both quorum phases walk :meth:`~repro.sim.network.Network.gather` under
+the wave policy ``network.rpc_mode`` names.  Batched walks overlap their
+probes and feed the view and serial-prefix caches; serial walks fold
+from scratch and never touch a cache — the reference the batched walks
+are checked against.
 """
 
 from __future__ import annotations
@@ -28,14 +34,14 @@ from repro.replication.object import ReplicatedObject
 from repro.replication.repository import Repository
 from repro.replication.serialcache import SerialPrefixCache
 from repro.replication.view import View
-from repro.replication.viewcache import QuorumViewCache
+from repro.replication.viewcache import QuorumViewCache, fold_view
 from repro.resilience.policy import (
     Deadline,
     OperationResult,
     RetryPolicy,
     read_only_operations,
 )
-from repro.sim.network import Network, Timeout
+from repro.sim.network import Network, ProbeReply
 from repro.txn.ids import Transaction
 from repro.txn.manager import TransactionManager
 
@@ -82,14 +88,14 @@ class FrontEnd:
         self.clock = LamportClock(site=site)
         #: Span sink; defaults to the network's (usually null).
         self.tracer = tracer if tracer is not None else network.tracer
-        #: Incremental view-merge cache, consulted on the batched RPC
-        #: path only (``network.rpc_mode == "batched"``); the serial
-        #: path re-merges from scratch and stays the reference.
+        #: Incremental view-merge cache, consulted by batched walks only
+        #: (``network.rpc_mode == "batched"``); serial walks fold from
+        #: scratch and stay the reference.
         self.view_cache = QuorumViewCache()
         #: Per-object incremental commit-order replay positions, threaded
-        #: through views on the batched path only — the serial path
-        #: recomputes every serialization from scratch and stays the
-        #: byte-identical reference.
+        #: through views by batched walks only — serial walks recompute
+        #: every serialization from scratch and stay the byte-identical
+        #: reference.
         self.serial_caches: dict[str, SerialPrefixCache] = {}
         #: Per-front-end policy override; see :meth:`effective_policy`.
         self.retry_policy = retry_policy
@@ -382,24 +388,17 @@ class FrontEnd:
 
         Returns ``(log, snapshot_or_None)``; entries covered by the
         snapshot are filtered out (a lagging repository may still hold
-        them).  Dispatches on ``network.rpc_mode``: batched probes
-        overlap their latencies through :meth:`Network.gather` and feed
-        the incremental view-merge cache; serial is the one-RPC-at-a-
-        time reference walk.  ``epoch`` is the configuration epoch the
+        them).  The walk is :meth:`Network.gather` under the wave policy
+        ``network.rpc_mode`` names.  Batched walks feed the incremental
+        view-merge cache; serial walks fold from scratch and stay the
+        cache-free reference.  ``epoch`` is the configuration epoch the
         caller resolved the coterie under; it is stamped onto the traced
         quorum span for the auditor's ``reconfig-epoch`` monitor.
         """
-        if self.network.rpc_mode == "batched":
-            return self._read_quorum_batched(obj, coterie, op_name, epoch)
-        return self._read_quorum_serial(obj, coterie, op_name, epoch)
-
-    def _read_quorum_batched(
-        self, obj: ReplicatedObject, coterie: Coterie, op_name: str, epoch: int
-    ) -> tuple[Log, object]:
         if not self.tracer.enabled:
             # Untraced hot path: no span kwargs, no eager annotate
             # arguments (the sorted() renderings dominate otherwise).
-            return self._read_quorum_batched_impl(obj, coterie, op_name, None)
+            return self._read_quorum_impl(obj, coterie, op_name, None)
         with self.tracer.span(
             "quorum.initial",
             kind="quorum",
@@ -409,102 +408,38 @@ class FrontEnd:
             object=obj.name,
             epoch=epoch,
         ) as span:
-            return self._read_quorum_batched_impl(obj, coterie, op_name, span)
+            return self._read_quorum_impl(obj, coterie, op_name, span)
 
-    def _read_quorum_batched_impl(
+    def _read_quorum_impl(
         self, obj: ReplicatedObject, coterie: Coterie, op_name: str, span
     ) -> tuple[Log, object]:
-        if coterie.has_quorum(frozenset()):
-            if span is not None:
-                span.annotate(quorum=())
-            return Log(), None
         name = obj.name
         repositories = self.repositories
-        outcome = self.network.gather(
-            self.site,
-            self._site_order(obj),
+        probes = self._walk(
+            obj,
+            coterie,
+            op_name,
             lambda site: (
                 repositories[site].read_log(name),
                 repositories[site].read_snapshot(name),
                 repositories[site].log_version(name),
             ),
-            stop=coterie.has_quorum,
+            span,
         )
-        responders = outcome.responders
-        if not coterie.has_quorum(responders):
-            missing = self._replica_set(obj) - responders
-            if span is not None:
-                span.annotate(
-                    responders=sorted(responders), missing=sorted(missing)
-                )
-            raise UnavailableError(op_name, missing)
-        merged, best = self.view_cache.merged_view(name, outcome.in_attempt_order())
-        if span is not None:
-            span.annotate(quorum=sorted(responders))
+        if probes is None:
+            return Log(), None
+        if self.network.rpc_mode == "batched":
+            return self.view_cache.merged_view(name, probes)
+        merged, best, _ = fold_view(probe.value for probe in probes)
         return merged, best
-
-    def _read_quorum_serial(
-        self, obj: ReplicatedObject, coterie: Coterie, op_name: str, epoch: int = 0
-    ) -> tuple[Log, object]:
-        with self.tracer.span(
-            "quorum.initial",
-            kind="quorum",
-            site=self.site,
-            phase="initial",
-            op=op_name,
-            object=obj.name,
-            epoch=epoch,
-        ) as span:
-            responders: set[int] = set()
-            merged = Log()
-            best = None
-            if coterie.has_quorum(frozenset()):
-                span.annotate(quorum=())
-                return merged, None
-            for site in self._site_order(obj):
-                try:
-                    fragment, snapshot = self.network.request(
-                        self.site,
-                        site,
-                        lambda s=site: (
-                            self.repositories[s].read_log(obj.name),
-                            self.repositories[s].read_snapshot(obj.name),
-                        ),
-                    )
-                except Timeout:
-                    continue
-                merged = merged.merge(fragment)
-                if snapshot is not None and snapshot.subsumes(best):
-                    best = snapshot
-                responders.add(site)
-                if coterie.has_quorum(frozenset(responders)):
-                    if best is not None:
-                        merged = Log(
-                            entry
-                            for entry in merged
-                            if entry.action not in best.dropped
-                        )
-                    span.annotate(quorum=sorted(responders))
-                    return merged, best
-            missing = self._replica_set(obj) - responders
-            span.annotate(responders=sorted(responders), missing=sorted(missing))
-            raise UnavailableError(op_name, missing)
 
     def _write_quorum(
         self, obj: ReplicatedObject, coterie: Coterie, update: Log, event,
         epoch: int = 0,
     ) -> None:
         """Write the updated view until a final quorum acknowledges."""
-        if self.network.rpc_mode == "batched":
-            return self._write_quorum_batched(obj, coterie, update, event, epoch)
-        return self._write_quorum_serial(obj, coterie, update, event, epoch)
-
-    def _write_quorum_batched(
-        self, obj: ReplicatedObject, coterie: Coterie, update: Log, event,
-        epoch: int,
-    ) -> None:
         if not self.tracer.enabled:
-            return self._write_quorum_batched_impl(obj, coterie, update, event, None)
+            return self._write_quorum_impl(obj, coterie, update, event, None)
         with self.tracer.span(
             "quorum.final",
             kind="quorum",
@@ -515,20 +450,17 @@ class FrontEnd:
             res_kind=event.res.kind,
             epoch=epoch,
         ) as span:
-            return self._write_quorum_batched_impl(obj, coterie, update, event, span)
+            return self._write_quorum_impl(obj, coterie, update, event, span)
 
-    def _write_quorum_batched_impl(
+    def _write_quorum_impl(
         self, obj: ReplicatedObject, coterie: Coterie, update: Log, event, span
     ) -> None:
-        if coterie.has_quorum(frozenset()):
-            if span is not None:
-                span.annotate(quorum=())
-            return
         name = obj.name
         repositories = self.repositories
-        outcome = self.network.gather(
-            self.site,
-            self._site_order(obj),
+        acks = self._walk(
+            obj,
+            coterie,
+            event.inv.op,
             # The version pair is captured atomically around the
             # write so the view cache can prove, from the ack alone,
             # that nothing else touched the fragment since our read.
@@ -536,59 +468,48 @@ class FrontEnd:
                 repositories[site].log_version(name),
                 repositories[site].write_log(name, update),
             ),
-            stop=coterie.has_quorum,
+            span,
         )
-        acks = outcome.responders
-        if not coterie.has_quorum(acks):
-            missing = self._replica_set(obj) - acks
-            if span is not None:
-                span.annotate(responders=sorted(acks), missing=sorted(missing))
-            raise UnavailableError(event.inv.op, missing)
-        self.view_cache.note_write(
-            name,
-            update,
-            tuple(
-                (reply.site, reply.value[0], reply.value[1])
-                for reply in outcome.in_attempt_order()
-            ),
-        )
-        if span is not None:
-            span.annotate(quorum=sorted(acks))
+        if acks is not None and self.network.rpc_mode == "batched":
+            self.view_cache.note_write(
+                name,
+                update,
+                tuple((ack.site, ack.value[0], ack.value[1]) for ack in acks),
+            )
 
-    def _write_quorum_serial(
-        self, obj: ReplicatedObject, coterie: Coterie, update: Log, event,
-        epoch: int = 0,
-    ) -> None:
-        op_name = event.inv.op
-        with self.tracer.span(
-            "quorum.final",
-            kind="quorum",
-            site=self.site,
-            phase="final",
-            op=op_name,
-            object=obj.name,
-            res_kind=event.res.kind,
-            epoch=epoch,
-        ) as span:
-            acks: set[int] = set()
-            if coterie.has_quorum(frozenset()):
+    def _walk(
+        self,
+        obj: ReplicatedObject,
+        coterie: Coterie,
+        op_name: str,
+        handler: Callable[[int], object],
+        span,
+    ) -> tuple[ProbeReply, ...] | None:
+        """Walk ``obj``'s replicas until ``coterie`` has a quorum.
+
+        Returns the replies in visit order, or ``None`` when the empty
+        set is a quorum.  Raises :class:`~repro.errors.UnavailableError`
+        naming the replicas that did not answer.
+        """
+        if coterie.has_quorum(frozenset()):
+            if span is not None:
                 span.annotate(quorum=())
-                return
-            for site in self._site_order(obj):
-                try:
-                    self.network.request(
-                        self.site,
-                        site,
-                        lambda s=site: self.repositories[s].write_log(
-                            obj.name, update
-                        ),
-                    )
-                except Timeout:
-                    continue
-                acks.add(site)
-                if coterie.has_quorum(frozenset(acks)):
-                    span.annotate(quorum=sorted(acks))
-                    return
-            missing = self._replica_set(obj) - acks
-            span.annotate(responders=sorted(acks), missing=sorted(missing))
+            return None
+        outcome = self.network.gather(
+            self.site,
+            self._site_order(obj),
+            handler,
+            stop=coterie.has_quorum,
+            waves=self.network.rpc_mode,
+        )
+        responders = outcome.responders
+        if not coterie.has_quorum(responders):
+            missing = self._replica_set(obj) - responders
+            if span is not None:
+                span.annotate(
+                    responders=sorted(responders), missing=sorted(missing)
+                )
             raise UnavailableError(op_name, missing)
+        if span is not None:
+            span.annotate(quorum=sorted(responders))
+        return outcome.in_attempt_order()

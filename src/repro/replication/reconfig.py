@@ -60,7 +60,8 @@ from repro.quorum.coterie import (
 )
 from repro.replication.log import Log
 from repro.replication.object import ReplicatedObject
-from repro.sim.network import Network, Timeout
+from repro.replication.viewcache import fold_view
+from repro.sim.network import Network
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -117,6 +118,11 @@ def is_transversal(coterie: Coterie, sites: frozenset[int]) -> bool:
             return False
         return len(sites) >= coterie.n_sites - coterie.threshold + 1
     return all(sites & quorum for quorum in coterie.quorums())
+
+
+def covers_all(coteries: Sequence[Coterie]):
+    """Walk stop predicate: is a site set a transversal of every coterie?"""
+    return lambda reached: all(is_transversal(c, reached) for c in coteries)
 
 
 def needs_coverage(coterie: Coterie) -> bool:
@@ -402,38 +408,25 @@ def _drain(
     with tracer.span(
         "reconfig.drain", kind="reconfig", object=obj.name, site=coordinator_site
     ) as span:
-        reached: set[int] = set()
-        merged = Log()
-        best_snapshot = None
-        order = _visit_order(pool, coordinator_site, network.n_sites, old_finals)
-        for site in order:
-            if all(is_transversal(c, frozenset(reached)) for c in old_finals):
-                break
-            try:
-                fragment, snapshot = network.request(
-                    coordinator_site,
-                    site,
-                    lambda s=site: (
-                        repositories[s].read_log(obj.name),
-                        repositories[s].read_snapshot(obj.name),
-                    ),
-                )
-            except Timeout:
-                continue
-            merged = merged.merge(fragment)
-            if snapshot is not None and snapshot.subsumes(best_snapshot):
-                best_snapshot = snapshot
-            reached.add(site)
-        if not all(is_transversal(c, frozenset(reached)) for c in old_finals):
+        covered = covers_all(old_finals)
+        outcome = network.gather(
+            coordinator_site,
+            _visit_order(pool, coordinator_site, network.n_sites, old_finals),
+            lambda site: (
+                repositories[site].read_log(obj.name),
+                repositories[site].read_snapshot(obj.name),
+            ),
+            stop=covered,
+            waves="serial",
+        )
+        reached = outcome.responders
+        if not covered(reached):
             if tracer.enabled:
                 span.annotate(responders=sorted(reached))
             raise UnavailableError("reconfigure", frozenset(pool) - reached)
-        if best_snapshot is not None:
-            merged = Log(
-                entry
-                for entry in merged
-                if entry.action not in best_snapshot.dropped
-            )
+        merged, best_snapshot, _ = fold_view(
+            reply.value for reply in outcome.in_attempt_order()
+        )
         if tracer.enabled:
             span.annotate(quorum=sorted(reached), entries=len(merged))
     return merged, best_snapshot
@@ -455,23 +448,17 @@ def _prime_phase(
     with tracer.span(
         "reconfig.prime", kind="reconfig", object=obj.name, site=coordinator_site
     ) as span:
-        acked: set[int] = set()
-        order = _visit_order(pool, coordinator_site, network.n_sites, new_initials)
-        for site in order:
-            if all(is_transversal(c, frozenset(acked)) for c in new_initials):
-                break
-            try:
-                network.request(
-                    coordinator_site,
-                    site,
-                    lambda s=site: _prime(
-                        repositories[s], obj.name, best_snapshot, merged
-                    ),
-                )
-            except Timeout:
-                continue
-            acked.add(site)
-        if not all(is_transversal(c, frozenset(acked)) for c in new_initials):
+        covered = covers_all(new_initials)
+        acked = network.gather(
+            coordinator_site,
+            _visit_order(pool, coordinator_site, network.n_sites, new_initials),
+            lambda site: _prime(
+                repositories[site], obj.name, best_snapshot, merged
+            ),
+            stop=covered,
+            waves="serial",
+        ).responders
+        if not covered(acked):
             if tracer.enabled:
                 span.annotate(responders=sorted(acked))
             raise UnavailableError("reconfigure", frozenset(pool) - acked)

@@ -33,9 +33,10 @@ from repro.clocks.timestamps import Timestamp
 from repro.errors import SpecificationError, UnavailableError
 from repro.replication.log import Log, LogEntry
 from repro.replication.object import ReplicatedObject
-from repro.replication.reconfig import is_transversal, needs_coverage
+from repro.replication.reconfig import covers_all, needs_coverage
 from repro.replication.view import StatusSource
-from repro.sim.network import Network, Timeout
+from repro.replication.viewcache import fold_view
+from repro.sim.network import Network
 from repro.txn.ids import ActionId, TxnStatus
 
 
@@ -179,8 +180,9 @@ def compact(
     never reads (or installs on) a site that does not hold the object,
     which genuine partial replication forbids.  Default: every site.
 
-    Raises :class:`UnavailableError` when the live sites cannot drain
-    every final coterie, and :class:`SpecificationError` for objects
+    Raises :class:`UnavailableError`, naming the rotation's sites that
+    did not answer, when the live sites cannot drain every final
+    coterie, and :class:`SpecificationError` for objects
     whose scheme does not serialize in commit order.
     """
     if obj.cc.serialization_order != "commit":
@@ -194,49 +196,32 @@ def compact(
     start = pool.index(coordinator_site) if coordinator_site in pool else 0
     order = [pool[(start + offset) % len(pool)] for offset in range(len(pool))]
 
-    reached: set[int] = set()
-    merged = Log()
-    best_base: Snapshot | None = None
-    for site in order:
-        if all(is_transversal(c, frozenset(reached)) for c in finals):
-            break
-        try:
-            fragment, base = network.request(
-                coordinator_site,
-                site,
-                lambda s=site: (
-                    repositories[s].read_log(obj.name),
-                    repositories[s].read_snapshot(obj.name),
-                ),
-            )
-        except Timeout:
-            continue
-        merged = merged.merge(fragment)
-        if base is not None and base.subsumes(best_base):
-            best_base = base
-        reached.add(site)
-    if not all(is_transversal(c, frozenset(reached)) for c in finals):
-        raise UnavailableError(
-            "compact", frozenset(range(network.n_sites)) - reached
-        )
+    covered = covers_all(finals)
+    drained = network.gather(
+        coordinator_site,
+        order,
+        lambda site: (
+            repositories[site].read_log(obj.name),
+            repositories[site].read_snapshot(obj.name),
+        ),
+        stop=covered,
+        waves="serial",
+    )
+    reached = drained.responders
+    if not covered(reached):
+        raise UnavailableError("compact", frozenset(pool) - reached)
 
     # Entries already covered or discarded by the base are not replayed.
-    if best_base is not None:
-        merged = Log(
-            entry for entry in merged if entry.action not in best_base.dropped
-        )
+    merged, best_base, _ = fold_view(
+        reply.value for reply in drained.in_attempt_order()
+    )
     snapshot = build_snapshot(obj, merged, statuses, best_base)
     if snapshot is None:
         return None
-    for site in order:
-        try:
-            network.request(
-                coordinator_site,
-                site,
-                lambda s=site: repositories[s].install_snapshot(
-                    obj.name, snapshot
-                ),
-            )
-        except Timeout:
-            continue
+    network.gather(
+        coordinator_site,
+        order,
+        lambda site: repositories[site].install_snapshot(obj.name, snapshot),
+        waves="serial",
+    )
     return snapshot

@@ -15,8 +15,8 @@ per-repository log version counters (:meth:`Repository.log_version`):
   into the cached union (logs only grow while their compaction snapshot
   is unchanged, so the union stays exact);
 * **rebuild** — the responding site set or any site's snapshot object
-  changed: the union is rebuilt from scratch, exactly as the serial
-  reference path would.
+  changed: the union is rebuilt by :func:`fold_view`, the from-scratch
+  fold every other view construction uses.
 
 After a successful final-quorum write the cache is refreshed from the
 acks alone (:meth:`note_write`): each acked repository confirmed, via a
@@ -24,18 +24,47 @@ version-before/version-after pair captured atomically with the write,
 that nothing else touched its fragment since our read, so the new union
 is the cached union plus the written update — no re-read needed.
 
-Every path preserves *exact* set equality with the serial re-merge; the
-equality tests in ``tests/test_sim_throughput.py`` enforce it end to
-end.  The cache is only consulted on the batched RPC path — the serial
-path stays the pristine reference implementation.
+Every path preserves *exact* set equality with :func:`fold_view` over
+the same probes; the equality tests in ``tests/test_sim_throughput.py``
+enforce it end to end.  Front-ends consult the cache only under the
+batched wave policy of :meth:`~repro.sim.network.Network.gather`.
+Serial walks — front-end reads, reconfiguration and compaction drains —
+call :func:`fold_view` directly and stay the cache-free reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.replication.log import Log
+
+
+def _elect(values: Iterable[Sequence[Any]]) -> Any:
+    """The first snapshot, in visit order, that subsumes every earlier one."""
+    best = None
+    for value in values:
+        snapshot = value[1]
+        if snapshot is not None and snapshot.subsumes(best):
+            best = snapshot
+    return best
+
+
+def fold_view(values: Iterable[Sequence[Any]]) -> tuple[Log, Any, Log]:
+    """The from-scratch view of ``(log, snapshot, ...)`` probe values.
+
+    Merges the log fragments (in visit order), keeps the snapshot that
+    subsumes the others, and drops the entries it covers.  Returns
+    ``(view, best_snapshot_or_None, raw_union)``.
+    """
+    values = tuple(values)
+    raw = Log()
+    for value in values:
+        raw = raw.merge(value[0])
+    best = _elect(values)
+    if best is None:
+        return raw, None, raw
+    return Log(e for e in raw if e.action not in best.dropped), best, raw
 
 
 @dataclass
@@ -79,14 +108,9 @@ class QuorumViewCache:
         attempt (visit) order, each carrying a ``(log, snapshot,
         version)`` triple captured atomically at the repository.
         Returns ``(filtered_log, best_snapshot_or_None)`` with exactly
-        the sets the serial fold over the same probes would produce.
+        the sets :func:`fold_view` over the same probes produces.
         """
         sites = tuple(probe.site for probe in probes)
-        best = None
-        for probe in probes:
-            snapshot = probe.value[1]
-            if snapshot is not None and snapshot.subsumes(best):
-                best = snapshot
         entry = self._entries.get(object_name)
         if (
             entry is not None
@@ -102,6 +126,7 @@ class QuorumViewCache:
                 self.hits += 1
                 return entry.filtered, entry.best
             self.delta_merges += 1
+            best = _elect(probe.value for probe in probes)
             raw_entries = entry.raw.entry_set
             fresh: set = set()
             for probe in changed:
@@ -138,13 +163,7 @@ class QuorumViewCache:
             entry.filtered = filtered
             return filtered, best
         self.rebuilds += 1
-        raw = Log()
-        for probe in probes:
-            raw = raw.merge(probe.value[0])
-        if best is None:
-            filtered = raw
-        else:
-            filtered = Log(e for e in raw if e.action not in best.dropped)
+        filtered, best, raw = fold_view(probe.value for probe in probes)
         self._entries[object_name] = _CacheEntry(
             sites=sites,
             versions={probe.site: probe.value[2] for probe in probes},

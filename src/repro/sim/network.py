@@ -11,16 +11,17 @@ partition the functioning sites into groups that cannot reach each other
   original message was lost, that the reply was lost, that the recipient
   has crashed, or simply that the recipient is slow"), charges simulated
   latency, and raises :class:`Timeout` on failure.
-* :meth:`Network.gather` — a batched RPC that launches one probe per
-  destination through the kernel at the same instant, so their
-  latencies overlap instead of accumulating.  Probes are issued in
-  *waves*: each wave is the shortest prefix of the remaining
-  destinations that could satisfy the caller's ``stop`` predicate if
-  every probe in it responded, so a stable set of reachable sites is
-  probed exactly as the serial walk would probe it (same attempted
-  sites, same message counts) while a failed probe widens the next
-  wave.  Completion ordering is deterministic: replies are reported
-  sorted by (completion time, site id).
+* :meth:`Network.gather` — the one quorum walk: it probes destinations
+  in visit order, in *waves*, until the caller's ``stop`` predicate
+  holds.  Two wave policies share it.  ``"batched"`` waves are the
+  shortest prefix of the remaining destinations that could satisfy
+  ``stop`` if every probe in it responded; the wave's probes overlap
+  their latencies through two kernel events, so a stable set of
+  reachable sites is probed exactly as the serial walk would probe it
+  (same attempted sites, same message counts) while a failed probe
+  widens the next wave.  ``"serial"`` waves hold one site each, sent
+  through :meth:`Network.request` — the reference policy.  Replies are
+  reported in deterministic (completion time, site id) order.
 * :meth:`Network.send` — an asynchronous message scheduled through the
   kernel, used by failure injectors and background anti-entropy.
 
@@ -53,12 +54,11 @@ class ProbeReply:
 
 @dataclass(frozen=True, slots=True)
 class GatherResult:
-    """Outcome of a batched :meth:`Network.gather` round.
+    """Outcome of one :meth:`Network.gather` walk.
 
     ``replies`` holds the successful probes in deterministic completion
     order — (completion time, site id) — while ``attempted`` preserves
-    launch order, which matches the order the serial reference path
-    would have visited the same sites.
+    launch order, which is the visit order under either wave policy.
     """
 
     replies: tuple[ProbeReply, ...]
@@ -73,9 +73,9 @@ class GatherResult:
     def in_attempt_order(self) -> tuple[ProbeReply, ...]:
         """Replies reordered by launch (visit) order.
 
-        This is the order in which the serial reference path would have
-        observed the same responses, so callers that fold over replies
-        (log merging, snapshot election) stay byte-compatible with it.
+        This is the order in which the serial wave policy observes the
+        same responses, so callers that fold over replies (log merging,
+        snapshot election) get the same result under either policy.
         """
         by_site = {reply.site: reply for reply in self.replies}
         return tuple(
@@ -94,7 +94,8 @@ class Timeout(Exception):
 class Network:
     """Crash, partition, and loss state for a fixed universe of sites."""
 
-    #: Valid values for the front-end RPC dispatch mode.
+    #: Valid front-end RPC modes, which are also :meth:`gather`'s wave
+    #: policies.
     RPC_MODES = ("batched", "serial")
 
     def __init__(
@@ -119,9 +120,9 @@ class Network:
         self.n_sites = n_sites
         self.latency = latency
         self.drop_probability = drop_probability
-        #: How front-ends issue quorum probes: ``"batched"`` overlaps
-        #: them through :meth:`gather`; ``"serial"`` is the one-at-a-time
-        #: reference path via :meth:`request`.
+        #: The wave policy front-ends pass to :meth:`gather`:
+        #: ``"batched"`` overlaps quorum probes; ``"serial"`` is the
+        #: one-at-a-time reference walk.
         self.rpc_mode = rpc_mode
         #: Span/event sink; defaults to the simulator's (usually null).
         self.tracer = tracer if tracer is not None else sim.tracer
@@ -290,30 +291,35 @@ class Network:
         handler: Callable[[int], Any],
         *,
         stop: Callable[[frozenset[int]], bool] | None = None,
+        waves: str = "batched",
     ) -> GatherResult:
-        """Batched RPC: probe ``dsts`` with overlapping latencies.
+        """Walk ``dsts`` in order, probing in waves until ``stop`` holds.
 
-        Probes are launched in waves.  A wave is the shortest prefix of
-        the remaining destinations that would satisfy ``stop`` if every
-        probe in it succeeded (all of them when ``stop`` is ``None``);
-        its probes share one request leg and one reply leg of simulated
-        latency, so a wave costs two latencies of simulated time no
-        matter how wide it is.  When some probes fail, the next wave
-        extends to further destinations, exactly as the serial walk
-        would have — under a failure state that is stable for the
-        duration of the call (and no message loss), the attempted site
-        set and the message counters match the serial reference path.
+        ``stop`` sees the sites that have answered so far and is asked
+        before every wave (``None`` walks every destination).  Under
+        ``waves="batched"`` a wave is the shortest prefix of the
+        remaining destinations that would satisfy ``stop`` if every
+        probe in it succeeded; its probes share one request leg and one
+        reply leg (two kernel events), so a wave costs two latencies
+        however wide it is, and a failed probe widens the next wave.
+        Under ``waves="serial"`` each wave is one :meth:`request`.
+        Under a stable failure state without loss both policies attempt
+        the same sites and count the same messages.
 
-        Per-probe semantics mirror :meth:`request`: the request leg is
-        checked against crash/partition/loss state at arrival time (so
-        failures due while the message travelled apply first), the
-        handler runs at the destination at arrival time, and its side
-        effects survive a lost reply leg.  Each probe is one ``rpc``
-        span when tracing is on, with the handler's own events parented
-        beneath it.
+        Per-probe semantics are those of :meth:`request`: the request
+        leg is checked against crash, partition and loss state at
+        arrival time, the handler runs at the destination at arrival
+        time, and its side effects survive a lost reply leg.  Each probe
+        is one ``rpc`` span when tracing is on, with the handler's own
+        events parented beneath it.
         """
+        if waves not in self.RPC_MODES:
+            raise SimulationError(
+                f"waves must be one of {self.RPC_MODES}, got {waves!r}"
+            )
         order = list(dsts)
         sim = self.sim
+        serial = waves == "serial"
         traced = self.tracer.enabled
         responders: set[int] = set()
         failed: set[int] = set()
@@ -323,6 +329,20 @@ class Network:
         while idx < len(order):
             if stop is not None and stop(frozenset(responders)):
                 break
+            if serial:
+                site = order[idx]
+                idx += 1
+                attempted.append(site)
+                try:
+                    value = self.request(src, site, lambda: handler(site))
+                except Timeout:
+                    failed.add(site)
+                    continue
+                replies[site] = ProbeReply(
+                    site=site, value=value, completed_at=sim.now
+                )
+                responders.add(site)
+                continue
             wave: list[int] = []
             assumed = set(responders)
             while idx < len(order):
@@ -334,37 +354,27 @@ class Network:
                     break
             arrive_at = sim.now + self.latency
             reply_at = arrive_at + self.latency
-            if traced:
-                for site in wave:
-                    attempted.append(site)
-                    self.messages_sent += 1
-                    span = self.tracer.start_span(
+            attempted.extend(wave)
+            self.messages_sent += len(wave)
+            spans = (
+                tuple(
+                    self.tracer.start_span(
                         "rpc", kind="rpc", site=site, src=src, dst=site, batched=True
                     )
-                    sim.call_at(
-                        arrive_at,
-                        self._probe(
-                            src, site, handler, span, reply_at, replies, failed
-                        ),
-                    )
-            else:
-                # One arrival and one delivery event carry the whole
-                # wave: per-site checks, RNG draws, handler calls, and
-                # counter updates run in the same order the per-probe
-                # events would have dispatched in (launch order at equal
-                # timestamps), so every observable — replies, message
-                # counters, failure sets — is byte-identical.
-                attempted.extend(wave)
-                self.messages_sent += len(wave)
-                sim.call_at(
-                    arrive_at,
-                    self._wave_arrive(
-                        src, tuple(wave), handler, reply_at, replies, failed
-                    ),
+                    for site in wave
                 )
-            # One pass dispatches both legs: request arrivals at
-            # ``arrive_at`` run first (after any failure events due in
-            # the window) and schedule their replies at ``reply_at``.
+                if traced
+                else (None,) * len(wave)
+            )
+            sim.call_at(
+                arrive_at,
+                self._wave_arrive(
+                    src, tuple(zip(wave, spans)), handler, reply_at, replies, failed
+                ),
+            )
+            # One pass dispatches both legs: the arrival at ``arrive_at``
+            # runs first (after any failure events due in the window) and
+            # schedules the wave's delivery at ``reply_at``.
             sim.run(until=reply_at)
             responders.update(site for site in wave if site in replies)
         ordered = tuple(sorted(replies.values(), key=_REPLY_ORDER))
@@ -372,89 +382,61 @@ class Network:
             replies=ordered, attempted=tuple(attempted), failed=frozenset(failed)
         )
 
-    def _probe(
-        self,
-        src: int,
-        dst: int,
-        handler: Callable[[int], Any],
-        span: Span | None,
-        reply_at: float,
-        replies: dict[int, ProbeReply],
-        failed: set[int],
-    ) -> Callable[[], None]:
-        """Build the request-leg arrival callback for one gather probe."""
-
-        def arrive() -> None:
-            if not self._reachable(src, dst) or self._lost():
-                self.messages_dropped += 1
-                failed.add(dst)
-                if span is not None:
-                    self.tracer.end_span(span, outcome="timeout")
-                return
-            if span is not None:
-                with self.tracer.under(span):
-                    value = handler(dst)
-            else:
-                value = handler(dst)
-            self.messages_sent += 1
-
-            def deliver() -> None:
-                if not self._reachable(dst, src) or self._lost():
-                    self.messages_dropped += 1
-                    failed.add(dst)
-                    if span is not None:
-                        self.tracer.end_span(span, outcome="timeout")
-                    return
-                replies[dst] = ProbeReply(
-                    site=dst, value=value, completed_at=self.sim.now
-                )
-                if span is not None:
-                    self.tracer.end_span(span)
-
-            self.sim.call_at(reply_at, deliver)
-
-        return arrive
-
     def _wave_arrive(
         self,
         src: int,
-        wave: tuple[int, ...],
+        wave: tuple[tuple[int, Span | None], ...],
         handler: Callable[[int], Any],
         reply_at: float,
         replies: dict[int, ProbeReply],
         failed: set[int],
     ) -> Callable[[], None]:
-        """Build the single arrival callback for a whole untraced wave.
+        """Build the single arrival callback for a whole batched wave.
 
-        Replays the per-probe :meth:`_probe` semantics for every site in
-        launch order within one event dispatch — reachability checked at
-        arrival time, loss drawn per leg in the same RNG order, handler
-        side effects surviving a lost reply — then schedules one shared
-        delivery event for the sites whose request leg survived.
+        ``wave`` pairs each destination with its open ``rpc`` span
+        (``None`` untraced).  One event dispatch replays every probe in
+        launch order — reachability checked at arrival time, loss drawn
+        per leg in the same RNG order, the handler run under its span,
+        side effects surviving a lost reply — then one shared delivery
+        event completes the probes whose request leg survived.  A span
+        closes with outcome ``"timeout"`` on whichever leg fails, or
+        ``"ok"`` at delivery.
         """
+        tracer = self.tracer
 
         def arrive() -> None:
-            values: list[tuple[int, Any]] = []
-            for dst in wave:
+            values: list[tuple[int, Any, Span | None]] = []
+            for dst, span in wave:
                 if not self._reachable(src, dst) or self._lost():
                     self.messages_dropped += 1
                     failed.add(dst)
+                    if span is not None:
+                        tracer.end_span(span, outcome="timeout")
                     continue
-                values.append((dst, handler(dst)))
+                if span is not None:
+                    with tracer.under(span):
+                        value = handler(dst)
+                else:
+                    value = handler(dst)
+                values.append((dst, value, span))
                 self.messages_sent += 1
             if not values:
                 return
 
             def deliver() -> None:
                 now = self.sim.now
-                for dst, value in values:
+                for dst, value, span in values:
                     if not self._reachable(dst, src) or self._lost():
                         self.messages_dropped += 1
                         failed.add(dst)
+                        if span is not None:
+                            tracer.end_span(span, outcome="timeout")
                         continue
                     replies[dst] = ProbeReply(
                         site=dst, value=value, completed_at=now
                     )
+                    if span is not None:
+                        tracer.end_span(span)
 
             self.sim.call_at(reply_at, deliver)
 
