@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from conftest import emit_json, report
+from conftest import emit_checked, report
 
 from repro.compute.artifacts import (
     _catalog_worker,
@@ -159,9 +159,8 @@ def _check(results: dict) -> None:
 
 def test_kernel_compute_cache_and_fanout(bench_cache_state):
     results = _measure(PLAN)
-    emit_json("kernel_compute", results, cache_state=bench_cache_state)
     report("kernel_compute", _render(results))
-    _check(results)
+    emit_checked("kernel_compute", results, _check, cache_state=bench_cache_state)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -177,9 +176,8 @@ def main(argv: list[str] | None = None) -> int:
     # A private cache keeps the standalone run hermetic.
     os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-bench-")
     results = _measure(QUICK_PLAN if args.quick else PLAN)
-    emit_json("kernel_compute", results, cache_state="cold")
     report("kernel_compute", _render(results))
-    _check(results)
+    emit_checked("kernel_compute", results, _check, cache_state="cold")
     return 0
 
 

@@ -26,7 +26,7 @@ from time import perf_counter
 
 import pytest
 
-from conftest import emit_json, report
+from conftest import emit_checked, report
 
 from repro.obs.audit import Auditor
 from repro.obs.trace import Tracer
@@ -123,15 +123,15 @@ def _check(results: dict) -> None:
 
 def test_keyspace_scale(bench_cache_state):
     results = _measure(OBJECT_COUNTS, TRANSACTIONS)
-    emit_json(
+    report("keyspace_scale", _render(results))
+    emit_checked(
         "keyspace_scale",
         results,
+        _check,
         cache_state=bench_cache_state,
         objects=max(OBJECT_COUNTS),
         placement=PLACEMENT,
     )
-    report("keyspace_scale", _render(results))
-    _check(results)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -149,15 +149,15 @@ def main(argv: list[str] | None = None) -> int:
     counts = QUICK_OBJECT_COUNTS if args.quick else OBJECT_COUNTS
     transactions = QUICK_TRANSACTIONS if args.quick else TRANSACTIONS
     results = _measure(counts, transactions)
-    emit_json(
+    report("keyspace_scale", _render(results))
+    emit_checked(
         "keyspace_scale",
         results,
+        _check,
         cache_state="cold",
         objects=max(counts),
         placement=PLACEMENT,
     )
-    report("keyspace_scale", _render(results))
-    _check(results)
     return 0
 
 

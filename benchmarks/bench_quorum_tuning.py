@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import emit_json, record_tuner, report
+from conftest import emit_checked, record_tuner, report
 
 from repro.dependency import known
 from repro.histories.events import Invocation
@@ -412,15 +412,15 @@ def _check(results: dict) -> None:
 
 def _emit(results: dict, cache_state: str) -> None:
     record_tuner(True)
-    emit_json(
+    report("quorum_tuning", _render(results))
+    emit_checked(
         "quorum_tuning",
         results,
+        _check,
         cache_state=cache_state,
         objects=results["objects"],
         placement="ring",
     )
-    report("quorum_tuning", _render(results))
-    _check(results)
 
 
 def test_quorum_tuning(bench_cache_state):

@@ -24,7 +24,7 @@ from time import perf_counter
 
 import pytest
 
-from conftest import emit_json, record_scenario, report
+from conftest import emit_checked, record_scenario, report
 
 from repro.resilience.chaos import PROFILES
 from repro.scenarios import MECHANISMS, SCENARIOS, run_scenario
@@ -166,14 +166,14 @@ def _check(results: dict) -> None:
 def test_scenario_matrix(bench_cache_state):
     record_scenario("matrix")
     results = _measure(SCENARIO_NAMES, PROFILE_NAMES)
-    emit_json(
+    report("scenario_matrix", _render(results))
+    emit_checked(
         "scenario_matrix",
         results,
+        _check,
         cache_state=bench_cache_state,
         objects=max(SCENARIOS[name].objects for name in SCENARIO_NAMES),
     )
-    report("scenario_matrix", _render(results))
-    _check(results)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -192,14 +192,14 @@ def main(argv: list[str] | None = None) -> int:
     profiles = QUICK_PROFILE_NAMES if args.quick else PROFILE_NAMES
     record_scenario("matrix")
     results = _measure(scenarios, profiles)
-    emit_json(
+    report("scenario_matrix", _render(results))
+    emit_checked(
         "scenario_matrix",
         results,
+        _check,
         cache_state="cold",
         objects=max(SCENARIOS[name].objects for name in scenarios),
     )
-    report("scenario_matrix", _render(results))
-    _check(results)
     return 0
 
 

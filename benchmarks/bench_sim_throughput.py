@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from conftest import emit_json, record_parallelism, report
+from conftest import emit_checked, record_parallelism, report
 
 from repro.dependency import known
 from repro.replication.cluster import build_cluster
@@ -446,9 +446,8 @@ def _emit(results: dict, cache_state: str) -> None:
         soak["speedup"] if soak is not None else results["trials"]["trials_speedup"]
     )
     record_parallelism(engaged, speedup)
-    emit_json("sim_throughput", results, cache_state=cache_state)
     report("sim_throughput", _render(results))
-    _check(results)
+    emit_checked("sim_throughput", results, _check, cache_state=cache_state)
 
 
 def test_sim_throughput(bench_cache_state):

@@ -7,6 +7,8 @@ traced to a run.  Machine-readable benchmarks go through
 :func:`emit_json`, which stamps every ``BENCH_*.json`` with the
 environment that produced it — worker count, kernel-cache state, CPU
 budget — so numbers from different machines can be compared honestly.
+Benchmarks with gates emit through :func:`emit_checked`, which also
+stamps whether those gates passed.
 
 Uniform knobs (apply to every benchmark in this directory):
 
@@ -151,6 +153,23 @@ def emit_json(
     out = RESULTS_DIR / f"BENCH_{name}.json"
     out.write_text(json.dumps(stamped, indent=2, sort_keys=True) + "\n")
     return out
+
+
+def emit_checked(name: str, payload: dict, check, **stamp) -> pathlib.Path:
+    """Run ``check(payload)``, then emit ``BENCH_<name>.json`` with its verdict.
+
+    The artifact carries ``passed: true`` only when ``check`` returned;
+    when it raised, the artifact is still written, marked
+    ``passed: false`` with the ``failure`` message, and the exception
+    propagates — so a failing run never leaves an artifact that looks
+    like a passing one.  ``stamp`` is forwarded to :func:`emit_json`.
+    """
+    try:
+        check(payload)
+    except Exception as exc:
+        emit_json(name, dict(payload, passed=False, failure=str(exc)), **stamp)
+        raise
+    return emit_json(name, dict(payload, passed=True), **stamp)
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

@@ -76,8 +76,10 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
+from repro.errors import TransactionError
 from repro.histories.serialization import serialize
 from repro.obs.export import render_tree
 from repro.obs.metrics import MetricsRegistry
@@ -168,6 +170,8 @@ class Violation:
 #: long run could otherwise dominate the report.
 SUBTREE_LIMIT = 80
 
+_ENTRY_TS = attrgetter("ts")
+
 
 # -- the monitor interface ---------------------------------------------------
 
@@ -200,6 +204,10 @@ class InvariantMonitor:
 
     #: The invariant's name, used in reports, counters, and exit codes.
     name = "invariant"
+    #: The point-event names :meth:`on_point_event` acts on (``None``:
+    #: every name).  The auditor routes point events by name, so a
+    #: monitor is not called for the events it would only skip.
+    point_events: frozenset[str] | None = None
 
     def __init__(self) -> None:
         self.auditor: "Auditor | None" = None
@@ -284,6 +292,7 @@ class QuorumIntersectionMonitor(InvariantMonitor):
     """
 
     name = "quorum-intersection"
+    point_events = frozenset({"reconfig.switch"})
 
     def __init__(self, *, window: int | None = None) -> None:
         super().__init__()
@@ -291,26 +300,39 @@ class QuorumIntersectionMonitor(InvariantMonitor):
         #: object -> (declared assignment, relation class keys)
         self._declared: dict[str, tuple[Any, frozenset[tuple[str, str, str]]]] = {}
         self._must_intersect: dict[tuple[str, str, str, str], bool] = {}
-        #: (object, op) -> distinct observed initial quorums (LRU order)
-        self._initials: dict[tuple[str, str], OrderedDict[frozenset[int], None]] = {}
-        #: (object, op, kind) -> distinct observed final quorums (LRU order)
-        self._finals: dict[
-            tuple[str, str, str], OrderedDict[frozenset[int], None]
-        ] = {}
+        #: (object, op) -> distinct observed initial quorums (LRU order),
+        #: each mapped to its clean stamp (see ``_admitted``)
+        self._initials: dict[tuple[str, str], OrderedDict[frozenset[int], Any]] = {}
+        #: (object, op, kind) -> distinct observed final quorums (LRU order),
+        #: each mapped to its clean stamp
+        self._finals: dict[tuple[str, str, str], OrderedDict[frozenset[int], Any]] = {}
+        #: How many new member sets either store has admitted.  A stored
+        #: set's clean stamp is this count at the last check that found
+        #: it a quorum of its declared coterie and intersecting every
+        #: required set: while no new set has arrived since, checking it
+        #: again can only find the same nothing, so the check is
+        #: skipped.  A check that reports leaves the stamp stale, so
+        #: every recurrence is still reported.
+        self._admitted = 0
 
     def _remember(
         self,
-        store: dict[Any, OrderedDict[frozenset[int], None]],
+        store: dict[Any, OrderedDict[frozenset[int], Any]],
         key: Any,
         members: frozenset[int],
-    ) -> None:
-        bucket = store.setdefault(key, OrderedDict())
-        if members in bucket:
+    ) -> OrderedDict[frozenset[int], Any]:
+        """Record ``members`` in its LRU bucket; return the bucket."""
+        bucket = store.get(key)
+        if bucket is None:
+            bucket = store[key] = OrderedDict()
+        elif members in bucket:
             bucket.move_to_end(members)
-            return
+            return bucket
         bucket[members] = None
+        self._admitted += 1
         if self.window is not None and len(bucket) > self.window:
             bucket.popitem(last=False)
+        return bucket
 
     def on_clear(self) -> None:
         self._initials.clear()
@@ -383,29 +405,35 @@ class QuorumIntersectionMonitor(InvariantMonitor):
         return required
 
     def on_quorum(self, span: Span) -> None:
-        if span.outcome != "ok" or "quorum" not in span.attrs:
+        attrs = span.attrs
+        if span.outcome != "ok" or "quorum" not in attrs:
             return
-        obj_name = span.attrs.get("object")
-        if obj_name not in self._declared:
+        obj_name = attrs.get("object")
+        declared = self._declared.get(obj_name)
+        if declared is None:
             return
-        op = span.attrs.get("op", "?")
-        members = frozenset(span.attrs["quorum"])
-        assignment, _keys = self._declared[obj_name]
-        if span.attrs.get("phase") == "initial":
+        op = attrs.get("op", "?")
+        members = frozenset(attrs["quorum"])
+        assignment = declared[0]
+        if attrs.get("phase") == "initial":
+            bucket = self._remember(self._initials, (obj_name, op), members)
+            if bucket[members] == self._admitted:
+                return
             coterie = assignment.initial(op)
-            if not coterie.has_quorum(members):
+            clean = coterie.has_quorum(members)
+            if not clean:
                 self.report(
                     f"initial quorum {sorted(members)} for {op} is not a "
                     f"quorum of the declared coterie {coterie!r}",
                     span=span,
                     object_name=obj_name,
                 )
-            self._remember(self._initials, (obj_name, op), members)
             for (o2, ev_op, kind), finals in self._finals.items():
                 if o2 != obj_name or not self._required(obj_name, op, ev_op, kind):
                     continue
                 for final_members in finals:
-                    if not (members & final_members):
+                    if members.isdisjoint(final_members):
+                        clean = False
                         self.report(
                             f"initial quorum {sorted(members)} for {op} is "
                             f"disjoint from final quorum "
@@ -415,22 +443,28 @@ class QuorumIntersectionMonitor(InvariantMonitor):
                             span=span,
                             object_name=obj_name,
                         )
+            if clean:
+                bucket[members] = self._admitted
         else:
-            kind = span.attrs.get("res_kind", "Ok")
+            kind = attrs.get("res_kind", "Ok")
+            bucket = self._remember(self._finals, (obj_name, op, kind), members)
+            if bucket[members] == self._admitted:
+                return
             coterie = assignment.final(op, kind)
-            if not coterie.has_quorum(members):
+            clean = coterie.has_quorum(members)
+            if not clean:
                 self.report(
                     f"final quorum {sorted(members)} for {op};{kind} is not "
                     f"a quorum of the declared coterie {coterie!r}",
                     span=span,
                     object_name=obj_name,
                 )
-            self._remember(self._finals, (obj_name, op, kind), members)
             for (o2, inv_op), initials in self._initials.items():
                 if o2 != obj_name or not self._required(obj_name, inv_op, op, kind):
                     continue
                 for initial_members in initials:
-                    if not (initial_members & members):
+                    if initial_members.isdisjoint(members):
+                        clean = False
                         self.report(
                             f"final quorum {sorted(members)} for {op};{kind} "
                             f"is disjoint from initial quorum "
@@ -440,6 +474,8 @@ class QuorumIntersectionMonitor(InvariantMonitor):
                             span=span,
                             object_name=obj_name,
                         )
+            if clean:
+                bucket[members] = self._admitted
 
 
 class ReconfigEpochMonitor(InvariantMonitor):
@@ -466,6 +502,7 @@ class ReconfigEpochMonitor(InvariantMonitor):
     """
 
     name = "reconfig-epoch"
+    point_events = frozenset({"reconfig.switch"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -651,6 +688,7 @@ class LogConsistencyMonitor(InvariantMonitor):
     """
 
     name = "log-consistency"
+    point_events = frozenset({"repo.write"})
 
     def __init__(self, *, window: int | None = None) -> None:
         super().__init__()
@@ -662,22 +700,16 @@ class LogConsistencyMonitor(InvariantMonitor):
         #: (which reuses their stored hashes) keeps each write scan
         #: O(new entries) instead of re-sorting and re-hashing the whole
         #: log — a conflicting entry is by construction one we have not
-        #: seen.  Deep mode unions the sets (a monotone high-water
-        #: mark); windowed mode stores the latest log snapshot so
+        #: seen.  Deep mode keeps a monotone high-water mark: the current
+        #: log's set when it contains everything verified (the common,
+        #: grow-only case, certified by the difference's size), else the
+        #: union; windowed mode stores the latest log snapshot so
         #: compaction can actually release memory.
         self._verified: dict[tuple[int, str], frozenset[Any]] = {}
-        #: (site, object) -> the exact Log object scanned last.  Deep
-        #: mode only: ``Log.fresh_since`` recovers the unchecked delta
-        #: from the extension-lineage chain in O(new entries), skipping
-        #: the frozenset diff entirely.  Windowed mode never anchors a
-        #: Log — pinning the lineage chain would defeat compaction's
-        #: memory release.
-        self._last_log: dict[tuple[int, str], Any] = {}
 
     def on_clear(self) -> None:
         self._canonical.clear()
         self._verified.clear()
-        self._last_log.clear()
 
     def state_cells(self) -> int:
         return sum(len(m) for m in self._canonical.values()) + len(
@@ -705,29 +737,21 @@ class LogConsistencyMonitor(InvariantMonitor):
 
     def _scan(self, obj_name: str, log, site: int, span: Span | None) -> None:
         key = (site, obj_name)
-        delta = None
-        if self.window is None:
-            last = self._last_log.get(key)
-            if last is not None:
-                delta = log.fresh_since(last)
-            self._last_log[key] = log
-        if delta is not None:
-            # Lineage hit: ``delta`` is exactly the entries not in the
-            # last scanned log, every one of which was checked then.
-            fresh: Any = delta
-            self._verified[key] = log.entry_set
+        entries = log.entry_set
+        verified = self._verified.get(key)
+        fresh = entries if verified is None else entries - verified
+        if (
+            self.window is not None
+            or verified is None
+            or len(entries) - len(fresh) == len(verified)
+        ):
+            self._verified[key] = entries
         else:
-            entries = log.entry_set
-            verified = self._verified.get(key)
-            fresh = entries if verified is None else entries - verified
-            if self.window is not None or verified is None:
-                self._verified[key] = entries
-            else:
-                self._verified[key] = verified | entries
+            self._verified[key] = verified | entries
         if not fresh:
             return
         canonical = self._canonical.setdefault(obj_name, OrderedDict())
-        for entry in sorted(fresh, key=lambda e: e.ts):
+        for entry in sorted(fresh, key=_ENTRY_TS) if len(fresh) > 1 else fresh:
             identity = (entry.action, entry.event)
             seen = canonical.setdefault(entry.ts, identity)
             if seen != identity:
@@ -863,6 +887,7 @@ class PartialReplicationMonitor(InvariantMonitor):
     """
 
     name = "genuine-partial-replication"
+    point_events = frozenset({"repo.read", "repo.write"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -905,6 +930,8 @@ class PartialReplicationMonitor(InvariantMonitor):
         obj_name = span.attrs.get("object")
         holders = self._holders.get(obj_name) if obj_name is not None else None
         if holders is None:
+            return
+        if holders.issuperset(span.attrs["quorum"]):
             return
         members = frozenset(span.attrs["quorum"])
         strays = members - holders
@@ -1186,6 +1213,8 @@ class Auditor(TraceListener):
         self._transaction_monitors = _overriding("on_transaction_end")
         self._quorum_monitors = _overriding("on_quorum")
         self._point_event_monitors = _overriding("on_point_event")
+        #: point-event name -> the point-event monitors that act on it
+        self._point_routes: dict[str, tuple[InvariantMonitor, ...]] = {}
         tracer.add_listener(self)
 
     # -- accessors for monitors --------------------------------------------
@@ -1194,7 +1223,12 @@ class Auditor(TraceListener):
         return self._tm.objects
 
     def object(self, name: str) -> "ReplicatedObject | None":
-        return self._tm.objects.get(name)
+        # A direct lookup: ``TransactionManager.objects`` copies the
+        # whole registry, and this runs once per operation span.
+        try:
+            return self._tm.object(name)
+        except TransactionError:
+            return None
 
     def placement(self):
         """The cluster's compiled placement, or ``None`` when hand-wired."""
@@ -1274,19 +1308,27 @@ class Auditor(TraceListener):
             return
         self.spans_seen += 1
         kind = span.kind
-        if kind == "operation":
-            self._operation_closed(span)
-        elif kind == "transaction":
-            self._transaction_closed(span)
+        if kind == "event":
+            name = span.name
+            if name == "audit.violation":
+                return
+            self._recent.append(span)
+            route = self._point_routes.get(name)
+            if route is None:
+                route = self._point_routes[name] = tuple(
+                    monitor
+                    for monitor in self._point_event_monitors
+                    if monitor.point_events is None or name in monitor.point_events
+                )
+            for monitor in route:
+                monitor.on_point_event(span)
         elif kind == "quorum":
             for monitor in self._quorum_monitors:
                 monitor.on_quorum(span)
-        elif kind == "event":
-            if span.name == "audit.violation":
-                return
-            self._recent.append(span)
-            for monitor in self._point_event_monitors:
-                monitor.on_point_event(span)
+        elif kind == "operation":
+            self._operation_closed(span)
+        elif kind == "transaction":
+            self._transaction_closed(span)
 
     def on_clear(self) -> None:
         """The tracer was cleared: reset per-epoch auditor state.
@@ -1349,9 +1391,11 @@ class Auditor(TraceListener):
         self.operations += 1
         self._ops_counter.inc()
         if self._capture_history:
-            from repro.replication.object import HistoryRecorder
+            recorder = self._recorders.get(obj.name)
+            if recorder is None:
+                from repro.replication.object import HistoryRecorder
 
-            recorder = self._recorders.setdefault(obj.name, HistoryRecorder())
+                recorder = self._recorders[obj.name] = HistoryRecorder()
             recorder.record_op(txn, event)
         record = OperationRecord(span=span, obj=obj, txn=txn, event=event)
         for monitor in self._operation_monitors:

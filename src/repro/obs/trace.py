@@ -287,6 +287,9 @@ class Tracer:
         self._stack: list[Span] = []
         self._next_id = 1
         self._listeners: list[TraceListener] = []
+        #: The listeners that implement ``on_span_start`` (the base-class
+        #: no-op is skipped: it would run once per span for nothing).
+        self._start_listeners: list[TraceListener] = []
         if type(self).enabled:
             _LIVE_TRACERS.add(self)
 
@@ -299,10 +302,14 @@ class Tracer:
     def add_listener(self, listener: TraceListener) -> None:
         """Stream span starts/ends to ``listener`` as they happen."""
         self._listeners.append(listener)
+        if type(listener).on_span_start is not TraceListener.on_span_start:
+            self._start_listeners.append(listener)
 
     def remove_listener(self, listener: TraceListener) -> None:
         """Detach a listener registered with :meth:`add_listener`."""
         self._listeners.remove(listener)
+        if listener in self._start_listeners:
+            self._start_listeners.remove(listener)
 
     @property
     def now(self) -> float:
@@ -346,7 +353,7 @@ class Tracer:
             global _PROCESS_PEAK_RETAINED
             if count > _PROCESS_PEAK_RETAINED:
                 _PROCESS_PEAK_RETAINED = count
-        for listener in self._listeners:
+        for listener in self._start_listeners:
             listener.on_span_start(span)
         return span
 

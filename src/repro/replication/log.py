@@ -26,13 +26,6 @@ from repro.txn.ids import ActionId
 #: rebuilt per comparison.
 _SORT_KEY = attrgetter("sort_key")
 
-#: Maximum :meth:`Log.extended` lineage chain length.  Each link keeps
-#: its base log alive, so the cap bounds retained history to a constant
-#: number of ancestor logs per live head; a chain that reaches the cap
-#: restarts, costing incremental consumers one O(n) fallback per
-#: ``_LINEAGE_LIMIT`` extensions (amortized O(delta)).
-_LINEAGE_LIMIT = 32
-
 
 class LogEntry:
     """One log record: when, what, and on whose behalf.
@@ -92,15 +85,7 @@ class Log:
     run; merge tolerates duplicates by keying on the full entry.
     """
 
-    __slots__ = (
-        "_entries",
-        "_ordered",
-        "_by_action",
-        "_actions",
-        "_base",
-        "_fresh",
-        "_depth",
-    )
+    __slots__ = ("_entries", "_ordered", "_by_action", "_actions")
 
     def __init__(self, entries: Iterable[LogEntry] = ()):
         self._entries: frozenset[LogEntry] = frozenset(entries)
@@ -108,12 +93,6 @@ class Log:
         self._ordered: tuple[LogEntry, ...] | None = None
         self._by_action: dict[ActionId, tuple[LogEntry, ...]] | None = None
         self._actions: frozenset[ActionId] | None = None
-        # Lineage: extended() records (base log, fresh entries) so
-        # incremental consumers can recover "what's new since the log I
-        # saw last" in O(delta) instead of an O(n) set difference.
-        self._base: Log | None = None
-        self._fresh: tuple[LogEntry, ...] | None = None
-        self._depth: int = 0
 
     @classmethod
     def _from_entry_set(cls, entries: frozenset[LogEntry]) -> "Log":
@@ -123,9 +102,6 @@ class Log:
         out._ordered = None
         out._by_action = None
         out._actions = None
-        out._base = None
-        out._fresh = None
-        out._depth = 0
         return out
 
     def merge(self, other: "Log") -> "Log":
@@ -149,7 +125,8 @@ class Log:
         seeded incrementally: each new entry is bisect-inserted into the
         sorted order instead of re-sorting the whole log.  Quorum view
         caches use this so that a front-end revisiting a grown log pays
-        O(delta log n) rather than O(n log n) per operation.  Sound
+        one C-level O(n) set union plus O(delta log n) inserts rather
+        than an O(n log n) Python-level sort per operation.  Sound
         because timestamps are unique per entry in a correct run, so the
         seeded order equals the order :meth:`ordered` would compute.
 
@@ -164,10 +141,6 @@ class Log:
         if not fresh_set:
             return self
         out = Log._from_entry_set(self._entries | fresh_set)
-        if self._depth < _LINEAGE_LIMIT:
-            out._base = self
-            out._fresh = tuple(fresh_set)
-            out._depth = self._depth + 1
         if len(fresh_set) == 1:
             # The dominant caller shape: one front-end appending one new
             # entry per quorum phase, almost always with the greatest
@@ -216,41 +189,6 @@ class Log:
         if self._actions is not None:
             out._actions = self._actions.union(e.action for e in fresh)
         return out
-
-    def fresh_since(self, ancestor: "Log") -> tuple[LogEntry, ...] | None:
-        """Entries in this log but not in ``ancestor``, via the lineage chain.
-
-        Walks the :meth:`extended` parent links from this log back
-        toward ``ancestor``; each link's fresh entries are disjoint from
-        everything below it, so their concatenation is *exactly*
-        ``self.entry_set - ancestor.entry_set``.  Returns ``None`` when
-        the chain does not reach ``ancestor`` (it was built by a plain
-        merge or the chain restarted at the length cap) — callers then
-        fall back to the O(n) set difference, which is always correct.
-        A non-``None`` result also certifies
-        ``ancestor.entry_set <= self.entry_set``.
-        """
-        if ancestor is self:
-            return ()
-        node = self
-        floor = len(ancestor._entries)
-        chunks: list[tuple[LogEntry, ...]] = []
-        while True:
-            base = node._base
-            # Entry counts strictly shrink down the chain, so once a
-            # base is smaller than the ancestor the walk cannot reach
-            # it — bail out instead of walking to the chain's root.
-            if base is None or len(base._entries) < floor:
-                return None
-            chunks.append(node._fresh)
-            if base is ancestor:
-                if len(chunks) == 1:
-                    return chunks[0]
-                flat: list[LogEntry] = []
-                for chunk in reversed(chunks):
-                    flat.extend(chunk)
-                return tuple(flat)
-            node = base
 
     def ordered(self) -> tuple[LogEntry, ...]:
         """Entries sorted by timestamp (total order; site breaks ties)."""
@@ -307,8 +245,8 @@ class Log:
         return hash(self._entries)
 
     def __reduce__(self):
-        # Rebuilt from the entry set alone: lineage weakrefs cannot be
-        # pickled and caches recompute lazily on the other side.
+        # Rebuilt from the entry set alone: the lazy order/grouping
+        # caches are derived data and recompute on the other side.
         return (Log, (tuple(self._entries),))
 
     def __str__(self) -> str:

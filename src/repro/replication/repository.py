@@ -110,10 +110,8 @@ class Repository:
                 entry for entry in update if entry.action not in snapshot.dropped
             )
         current = self._logs.get(object_name, Log())
-        # extended(), not merge(): same union, but it records the
-        # extension-lineage link so incremental consumers (the audit
-        # log-consistency scan, quorum view caches) can recover the
-        # delta in O(new entries) instead of a full set difference.
+        # extended(), not merge(): same union, but it carries the log's
+        # lazy order/grouping caches forward instead of dropping them.
         merged = current.extended(update.entry_set)
         if merged is not current:
             self._logs[object_name] = merged
@@ -138,7 +136,8 @@ class Repository:
         monitor uses it so auditing never perturbs ``reads_served`` or
         emits ``repo.read`` events of its own.
         """
-        return self._logs.get(object_name, Log())
+        log = self._logs.get(object_name)
+        return log if log is not None else Log()
 
     # -- compaction ---------------------------------------------------------
 

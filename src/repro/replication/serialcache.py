@@ -20,7 +20,10 @@ classification of every action seen so far.  It *rebuilds from scratch*
 — which is exactly the reference computation — whenever any of its
 soundness conditions fails:
 
-* the view shrank or its compaction base changed (snapshot installed);
+* the view's compaction base changed (snapshot installed);
+* the view no longer contains every cached entry (checked by the size
+  of one frozenset difference: ``len(new) - len(new - old) == len(old)``
+  holds exactly when ``old <= new``);
 * a new entry arrived for an action already folded into the prefix
   (a lagging fragment filled in late);
 * a newly committed action's timestamp orders *before* the cached
@@ -52,7 +55,6 @@ class SerialPrefixCache:
 
     __slots__ = (
         "_entries",
-        "_log",
         "_node",
         "_committed_set",
         "_aborted_set",
@@ -67,7 +69,6 @@ class SerialPrefixCache:
 
     def __init__(self):
         self._entries = None  # frozenset[LogEntry] the node was computed from
-        self._log = None  # the Log object carrying that entry set
         self._node = None
         self._committed_set: set[ActionId] = set()
         self._aborted_set: set[ActionId] = set()
@@ -95,20 +96,18 @@ class SerialPrefixCache:
         (the reference computation itself) otherwise.
         """
         statuses = view.statuses
-        log = view.log
-        entries = log.entry_set
+        entries = view.log.entry_set
         if self._node is None or self._trims_seen != oracle.cache_trims or (
             self._base is not view.base
         ):
             return self._rebuild(view, oracle)
-        # O(delta) when the grown log's extension lineage reaches the
-        # cached log; the O(n) frozenset algebra is the fallback (and
-        # stays the correctness reference).
-        delta = log.fresh_since(self._log) if self._log is not None else None
-        if delta is None:
-            if not (self._entries <= entries):
+        delta = ()
+        if entries is not self._entries:
+            # One C-level pass; its size certifies the cached set is a
+            # subset, so no separate ``<=`` pass is needed.
+            delta = entries - self._entries
+            if len(entries) - len(delta) != len(self._entries):
                 return self._rebuild(view, oracle)
-            delta = entries - self._entries if entries is not self._entries else ()
 
         if delta:
             committed_set = self._committed_set
@@ -123,7 +122,6 @@ class SerialPrefixCache:
                 if action not in aborted_set:
                     undecided.add(action)
         self._entries = entries
-        self._log = log
 
         newly_committed = None
         if self._undecided:
@@ -191,7 +189,6 @@ class SerialPrefixCache:
             else:
                 undecided.add(action)
         self._entries = log.entry_set
-        self._log = log
         self._node = node
         self._committed_set = committed_set
         self._aborted_set = aborted

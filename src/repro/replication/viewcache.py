@@ -79,9 +79,6 @@ class _CacheEntry:
     sites: tuple[int, ...]
     versions: dict[int, int]
     snaps: dict[int, Any]
-    #: Each cached site's fragment Log as last probed — the lineage
-    #: anchor for O(delta) re-merges via :meth:`Log.fresh_since`.
-    logs: dict[int, Log]
     raw: Log
     best: Any
     filtered: Log
@@ -126,40 +123,25 @@ class QuorumViewCache:
                 self.hits += 1
                 return entry.filtered, entry.best
             self.delta_merges += 1
-            best = _elect(probe.value for probe in probes)
+            # Same snapshot objects in the same visit order elect the
+            # same snapshot, so ``entry.best`` still holds.  Each changed
+            # fragment's news is one C-level frozenset difference; it
+            # costs the same order as the O(n) union extended() performs
+            # beside it.
             raw_entries = entry.raw.entry_set
-            fresh: set = set()
+            fresh = frozenset()
             for probe in changed:
-                # O(delta) when the fragment's extension lineage reaches
-                # the log we probed last time; the O(n) union-and-diff
-                # over the whole fragment is the fallback.
-                chunk = probe.value[0].fresh_since(entry.logs[probe.site])
-                if chunk is not None:
-                    fresh.update(
-                        e for e in chunk if e not in raw_entries
-                    )
-                else:
-                    fresh |= probe.value[0].entry_set
-                    fresh -= raw_entries
-            # extended() bisect-inserts the delta into the cached sorted
-            # order, so the per-operation cost is O(|delta| log n), not a
-            # fresh O(n log n) sort of the whole union.
+                fresh |= probe.value[0].entry_set - raw_entries
             raw = entry.raw.extended(fresh)
+            best = entry.best
             if best is None:
                 filtered = raw
-            elif raw is entry.raw and best == entry.best:
-                filtered = entry.filtered
-            elif best == entry.best:
+            else:
                 filtered = entry.filtered.extended(
                     e for e in fresh if e.action not in best.dropped
                 )
-            else:  # snapshots were identity-stable, so this is unreachable;
-                # kept as a safe fallback rather than an assumption.
-                filtered = Log(e for e in raw if e.action not in best.dropped)
             entry.versions = {probe.site: probe.value[2] for probe in probes}
-            entry.logs = {probe.site: probe.value[0] for probe in probes}
             entry.raw = raw
-            entry.best = best
             entry.filtered = filtered
             return filtered, best
         self.rebuilds += 1
@@ -168,7 +150,6 @@ class QuorumViewCache:
             sites=sites,
             versions={probe.site: probe.value[2] for probe in probes},
             snaps={probe.site: probe.value[1] for probe in probes},
-            logs={probe.site: probe.value[0] for probe in probes},
             raw=raw,
             best=best,
             filtered=filtered,

@@ -20,6 +20,7 @@ from repro.obs.audit import (
     Auditor,
     AuditReport,
     InvariantMonitor,
+    QuorumIntersectionMonitor,
     Violation,
     default_monitors,
 )
@@ -241,6 +242,78 @@ class TestAuditorMechanics:
             report.registry.counter("audit.violations").value
             == sum(v.count for v in distinct) + report.suppressed["chatty"]
         )
+
+    def test_recurring_quorum_findings_are_counted_every_time(self):
+        # Quorum spans fed by hand against the declared 2-of-3 queue
+        # assignment, whose relation makes Deq's initial quorums depend
+        # on Enq;Ok's final quorums.
+        tracer = Tracer()
+        cluster = build_cluster(3, seed=0, tracer=tracer)
+        queue = Queue()
+        relation = known.ground(queue, known.QUEUE_STATIC, 5)
+        cluster.add_object("queue", queue, "hybrid", relation=relation)
+        auditor = Auditor(cluster, [QuorumIntersectionMonitor()])
+
+        def quorum(phase, op, members):
+            span = tracer.start_span(
+                f"quorum.{phase}",
+                kind="quorum",
+                phase=phase,
+                op=op,
+                object="queue",
+                res_kind="Ok",
+                quorum=sorted(members),
+            )
+            tracer.end_span(span)
+
+        quorum("final", "Enq", {0, 1})
+        for _ in range(3):
+            quorum("initial", "Deq", {1, 2})  # a quorum meeting {0, 1}
+        quorum("final", "Enq", {0})  # too small, and disjoint from {1, 2}
+        for _ in range(2):
+            quorum("initial", "Deq", {1, 2})
+        for _ in range(4):
+            quorum("initial", "Deq", {2})  # too small, meets neither final
+        counts = {v.message: v.count for v in auditor.finish().violations}
+        assert counts == {
+            "final quorum [0] for Enq;Ok is not a quorum of the declared "
+            "coterie ThresholdCoterie(2 of 3)": 1,
+            "final quorum [0] for Enq;Ok is disjoint from initial quorum "
+            "[1, 2] of Deq — the intersection relation no longer contains "
+            "the dependency relation": 1,
+            "initial quorum [1, 2] for Deq is disjoint from final quorum "
+            "[0] of Enq;Ok — the intersection relation no longer contains "
+            "the dependency relation": 2,
+            "initial quorum [2] for Deq is not a quorum of the declared "
+            "coterie ThresholdCoterie(2 of 3)": 4,
+            "initial quorum [2] for Deq is disjoint from final quorum "
+            "[0, 1] of Enq;Ok — the intersection relation no longer contains "
+            "the dependency relation": 4,
+            "initial quorum [2] for Deq is disjoint from final quorum [0] "
+            "of Enq;Ok — the intersection relation no longer contains the "
+            "dependency relation": 4,
+        }
+
+    def test_point_events_reach_only_the_monitors_that_act_on_them(self):
+        class Everything(InvariantMonitor):
+            name = "everything"
+
+            def __init__(self):
+                super().__init__()
+                self.names = []
+
+            def on_point_event(self, span):
+                self.names.append(span.name)
+
+        class WritesOnly(Everything):
+            name = "writes-only"
+            point_events = frozenset({"repo.write"})
+
+        everything, writes = Everything(), WritesOnly()
+        report, cluster = audited_run(monitors=[everything, writes])
+        assert report.ok
+        assert {"repo.read", "repo.write"} <= set(everything.names)
+        assert writes.names == [n for n in everything.names if n == "repo.write"]
 
     def test_custom_monitor_sees_operations_and_transactions(self):
         class Counting(InvariantMonitor):

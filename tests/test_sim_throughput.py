@@ -34,7 +34,7 @@ from repro.quorum.coterie import ThresholdCoterie
 from repro.replication.cluster import build_cluster
 from repro.replication.log import Log, LogEntry
 from repro.replication.snapshot import compact
-from repro.replication.viewcache import QuorumViewCache
+from repro.replication.viewcache import QuorumViewCache, fold_view
 from repro.sim.kernel import QUEUE_MODES, Simulator
 from repro.sim.network import Network, ProbeReply
 from repro.sim.trials import run_trials, seed_range
@@ -292,6 +292,16 @@ def _probe(site: int, log: Log, version: int, snapshot=None) -> ProbeReply:
     return ProbeReply(site=site, value=(log, snapshot, version), completed_at=0.0)
 
 
+class _Snap:
+    """Minimal compaction snapshot: the actions whose entries it drops."""
+
+    def __init__(self, dropped):
+        self.dropped = frozenset(dropped)
+
+    def subsumes(self, other):
+        return other is None or self.dropped >= other.dropped
+
+
 class TestQuorumViewCache:
     def test_unchanged_quorum_is_a_pure_hit(self):
         cache = QuorumViewCache()
@@ -352,16 +362,8 @@ class TestQuorumViewCache:
 
     def test_snapshot_change_forces_rebuild(self):
         cache = QuorumViewCache()
-
-        class Snap:
-            def __init__(self, dropped):
-                self.dropped = frozenset(dropped)
-
-            def subsumes(self, other):
-                return other is None or self.dropped >= other.dropped
-
         log = Log([_entry(1), _entry(2)])
-        snap = Snap({ActionId(1, 0)})
+        snap = _Snap({ActionId(1, 0)})
         merged, best = cache.merged_view(
             "q", (_probe(0, log, 1, snap), _probe(1, log, 1, snap))
         )
@@ -369,13 +371,30 @@ class TestQuorumViewCache:
         assert merged == Log([_entry(2)])
         # Same versions but a *new* snapshot object: identity check fails,
         # the cache rebuilds rather than resurrecting dropped entries.
-        wider = Snap({ActionId(1, 0), ActionId(2, 0)})
+        wider = _Snap({ActionId(1, 0), ActionId(2, 0)})
         merged, best = cache.merged_view(
             "q", (_probe(0, Log([_entry(2)]), 2, wider), _probe(1, log, 1, snap))
         )
         assert best is wider
         assert merged == Log()
         assert cache.stats()["rebuilds"] == 2
+
+    def test_delta_merge_under_a_stable_snapshot_matches_fold_view(self):
+        cache = QuorumViewCache()
+        snap = _Snap({ActionId(1, 0)})
+        log = Log([_entry(2)])
+        cache.merged_view("q", (_probe(0, log, 1, snap), _probe(1, log, 1, snap)))
+        # Site 0's fragment moves: a stale writer re-ships an entry of the
+        # dropped action 1, next to one genuinely fresh entry.
+        grown = log.extended([_entry(1), _entry(3)])
+        probes = (_probe(0, grown, 2, snap), _probe(1, log, 1, snap))
+        merged, best = cache.merged_view("q", probes)
+        assert cache.stats()["delta_merges"] == 1
+        assert cache.stats()["rebuilds"] == 1
+        expected, expected_best, _ = fold_view(probe.value for probe in probes)
+        assert best is expected_best is snap
+        assert merged == expected == Log([_entry(2), _entry(3)])
+        assert merged.ordered() == expected.ordered()
 
 
 # -- serial vs batched determinism, end to end --------------------------------

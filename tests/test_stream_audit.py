@@ -107,6 +107,28 @@ class TestRetention:
         with pytest.raises(ValueError):
             Tracer(retention="bogus")
 
+    def test_span_starts_reach_listeners_that_implement_them(self):
+        class StartCounting(_CountingListener):
+            def __init__(self):
+                super().__init__()
+                self.started = 0
+
+            def on_span_start(self, span):
+                self.started += 1
+
+        tracer = Tracer()
+        starts, ends = StartCounting(), _CountingListener()
+        tracer.add_listener(ends)
+        tracer.add_listener(starts)
+        for _ in range(3):
+            tracer.end_span(tracer.start_span("op"))
+        tracer.event("mark")
+        assert (starts.started, starts.ended, ends.ended) == (4, 4, 4)
+        tracer.remove_listener(starts)
+        tracer.remove_listener(ends)
+        tracer.end_span(tracer.start_span("op"))
+        assert (starts.started, starts.ended, ends.ended) == (4, 4, 4)
+
     def test_clear_notifies_listeners_and_resets_retention(self):
         tracer = Tracer(retention="ring", window=4)
         listener = _CountingListener()
